@@ -56,7 +56,6 @@
 #include "rewrite/direct_model.h"
 #include "serving/fault_injection.h"
 #include "serving/http_endpoint.h"
-#include "serving/latency.h"
 #include "serving/rewrite_service.h"
 #include "serving/server.h"
 
@@ -412,7 +411,7 @@ void RunOverloadBench(int introspect_port) {
     options.queue_depth = 32;
     options.retry.max_retries = 1;
     RewriteServer server(&service, options);
-    LatencyRecorder latency;
+    Histogram latency(Histogram::DefaultLatencyBoundsMillis());
 
     const double offered_qps = capacity_qps * level.multiplier;
     Stopwatch clock;
@@ -425,7 +424,7 @@ void RunOverloadBench(int introspect_port) {
       (void)server.Submit(*requests[i], Deadline::AfterMillis(50.0),
                           [&latency](RewriteServer::ServerResponse response) {
                             if (response.status.ok()) {
-                              latency.Record(response.total_millis);
+                              latency.Observe(response.total_millis);
                             }
                           });
     }
@@ -444,8 +443,8 @@ void RunOverloadBench(int introspect_port) {
         kRequestsPerLevel / (offered_window_millis / 1000.0);
     const double served_per_sec =
         static_cast<double>(served) / (served_window_millis / 1000.0);
-    const double p50 = latency.PercentileMillis(0.5);
-    const double p99 = latency.PercentileMillis(0.99);
+    const double p50 = latency.QuantileEstimate(0.5);
+    const double p99 = latency.QuantileEstimate(0.99);
 
     const MetricLabels labels = {{"load", level.label}};
     registry.GetGauge("cyqr_bench_overload_offered_qps_value", labels)

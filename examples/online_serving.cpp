@@ -6,9 +6,11 @@
 // breaker keep every request answered.
 
 #include <cstdio>
+#include <string>
 
 #include "core/string_util.h"
 #include "datagen/traffic.h"
+#include "obs/metrics.h"
 #include "rewrite/direct_model.h"
 #include "rewrite/inference.h"
 #include "rewrite/trainer.h"
@@ -16,6 +18,22 @@
 #include "serving/rewrite_service.h"
 
 using namespace cyqr;
+
+namespace {
+
+// Readers for the per-rung series the service books into its registry.
+int64_t RungCount(MetricsRegistry& metrics, const char* series,
+                  const char* rung) {
+  return metrics.GetCounter(series, {{"rung", rung}})->Value();
+}
+
+const Histogram& RungLatency(MetricsRegistry& metrics, const char* rung) {
+  return *metrics.GetHistogram("cyqr_serving_rung_latency_millis",
+                               Histogram::DefaultLatencyBoundsMillis(),
+                               {{"rung", rung}});
+}
+
+}  // namespace
 
 int main() {
   // World.
@@ -79,8 +97,9 @@ int main() {
   }
   RewriteService::PrecomputeHead(pipeline, head_tokens, {}, &store);
 
-  // Live traffic through the two-tier service.
-  RewriteService service(&store, &direct, {});
+  // Live traffic through the two-tier service, counted in a local registry.
+  MetricsRegistry metrics;
+  RewriteService service(&store, &direct, {}, nullptr, &metrics);
   Rng traffic_rng(99);
   const int64_t kRequests = 400;
   for (int64_t i = 0; i < kRequests; ++i) {
@@ -88,18 +107,21 @@ int main() {
     service.Serve(click_log.queries()[q].tokens);
   }
 
+  const int64_t cache_hits =
+      RungCount(metrics, "cyqr_serving_rung_answers_total", "cache");
   std::printf("\nserved %lld requests: %lld cache hits, %lld model calls "
               "(%.0f%% cache hit rate)\n",
               static_cast<long long>(kRequests),
-              static_cast<long long>(service.cache_hits()),
-              static_cast<long long>(service.model_calls()),
-              100.0 * service.cache_hits() / kRequests);
+              static_cast<long long>(cache_hits),
+              static_cast<long long>(RungCount(
+                  metrics, "cyqr_serving_rung_attempts_total", "direct-model")),
+              100.0 * cache_hits / kRequests);
+  const Histogram& cache_latency = RungLatency(metrics, "cache");
+  const Histogram& model_latency = RungLatency(metrics, "direct-model");
   std::printf("cache path:  mean %.3f ms, p99 %.3f ms\n",
-              service.cache_latency().MeanMillis(),
-              service.cache_latency().PercentileMillis(0.99));
+              cache_latency.Mean(), cache_latency.QuantileEstimate(0.99));
   std::printf("model path:  mean %.1f ms, p99 %.1f ms\n",
-              service.model_latency().MeanMillis(),
-              service.model_latency().PercentileMillis(0.99));
+              model_latency.Mean(), model_latency.QuantileEstimate(0.99));
   std::printf("(paper budget: 50 ms end-to-end; cache <5 ms, direct model "
               "~30 ms on a 32-core CPU)\n");
 
@@ -121,7 +143,9 @@ int main() {
   wedged.error_probability = 1.0;
   wedged.error_message = "injected model outage";
   FaultyModelBackend faulty_model(&model_backend, wedged, /*seed=*/5);
-  RewriteService drilled(&cache_backend, &faulty_model, nullptr, {});
+  MetricsRegistry drill_metrics;
+  RewriteService drilled(&cache_backend, &faulty_model, nullptr, {},
+                         &drill_metrics);
   Rng drill_rng(123);
   int64_t answered = 0;
   for (int64_t i = 0; i < kRequests; ++i) {
@@ -133,8 +157,12 @@ int main() {
               "(%lld degraded, %lld model failures)\n",
               static_cast<long long>(answered),
               static_cast<long long>(kRequests),
-              static_cast<long long>(drilled.degraded_requests()),
-              static_cast<long long>(drilled.model_failures()));
+              static_cast<long long>(
+                  drill_metrics.GetCounter("cyqr_serving_degraded_total")
+                      ->Value()),
+              static_cast<long long>(
+                  RungCount(drill_metrics, "cyqr_serving_rung_errors_total",
+                            "direct-model")));
   std::printf("circuit breaker: state=%s, opened %lld times, "
               "rejected %lld model calls\n",
               CircuitBreaker::StateName(drilled.breaker().state()),

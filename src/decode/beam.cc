@@ -83,11 +83,15 @@ std::vector<DecodedSequence> BeamSearchDecode(
       h.state = beam[e.parent].state->Clone();
       next.push_back(std::move(h));
     }
+    beam = std::move(next);
     // Stop early once enough hypotheses have finished and no live
     // hypothesis can beat the worst finished score (scores only decrease).
+    // `beam` already holds this step's live set, so the fill-in below never
+    // appends the previous step's prefixes: lacking the end-of-sequence
+    // term, those would outscore the finished hypotheses they spawned.
     if (finished.size() >= beam_size) {
       double best_live = -1e300;
-      for (const Hypothesis& h : next) {
+      for (const Hypothesis& h : beam) {
         best_live = std::max(best_live, h.log_prob);
       }
       double worst_finished = 1e300;
@@ -96,7 +100,6 @@ std::vector<DecodedSequence> BeamSearchDecode(
       }
       if (best_live <= worst_finished) break;
     }
-    beam = std::move(next);
   }
   // Unfinished hypotheses fill remaining slots.
   for (Hypothesis& h : beam) finished.push_back(std::move(h));

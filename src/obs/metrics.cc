@@ -293,27 +293,6 @@ double Histogram::QuantileEstimate(double q) const {
   return Max();
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  CYQR_CHECK_MSG(bounds_ == other.bounds_,
-                 "can only merge histograms with identical bounds");
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    // ordering: relaxed — merge tallies; snapshot consistency is not promised
-    // across buckets.
-    buckets_[i].fetch_add(other.BucketCount(i), std::memory_order_relaxed);
-    const uint64_t exemplar = other.ExemplarTraceId(i);
-    if (exemplar != 0) {
-      // ordering: relaxed — same last-writer-wins breadcrumb contract
-      // as Observe.
-      exemplars_[i].trace_id.store(exemplar, std::memory_order_relaxed);
-      // ordering: relaxed — breadcrumb contract, as above.
-      exemplars_[i].value.store(other.ExemplarValue(i),
-                                std::memory_order_relaxed);
-    }
-  }
-  AtomicAdd(&sum_, other.Sum());
-  AtomicMax(&max_, other.Max());
-}
-
 bool IsValidMetricName(const std::string& name) {
   if (name.rfind("cyqr_", 0) != 0) return false;
   if (name.back() == '_' || name.find("__") != std::string::npos) {

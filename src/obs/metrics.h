@@ -95,8 +95,10 @@ class Gauge {
 
 /// Fixed-bucket histogram: cumulative-style buckets over strictly
 /// increasing upper bounds plus an implicit +Inf overflow bucket, with
-/// exact count/sum/max tracked alongside. Safe under concurrent Observe;
-/// mergeable when bounds match (the LatencyRecorder shim relies on this).
+/// exact count/sum/max tracked alongside. Safe under concurrent Observe.
+/// Registry-owned histograms are the serving and training latency series;
+/// a caller that only needs local percentiles (the CLI's serve report, the
+/// overload bench) constructs one directly.
 class Histogram {
  public:
   /// `bounds` are the bucket upper bounds, strictly increasing, non-empty.
@@ -150,11 +152,6 @@ class Histogram {
   /// Count in bucket `i`, i in [0, bounds().size()]; the last index is the
   /// +Inf overflow bucket.
   int64_t BucketCount(size_t i) const;
-
-  /// Adds `other`'s buckets/count/sum/max into this histogram, taking
-  /// `other`'s exemplar for every bucket where it has one. The two
-  /// histograms must share identical bounds.
-  void MergeFrom(const Histogram& other);
 
  private:
   /// Last exemplar seen by one bucket. See Observe(value, exemplar_id) for

@@ -24,7 +24,8 @@ constexpr int64_t kExactObservationWindow = 1024;
 constexpr int64_t kLatencySampleStride = 8;
 constexpr int64_t kDeadlineSampleStride = 16;
 
-// Flight-recorder rung outcome codes (arg1 of the serving.rung event).
+// Rung outcome codes: how RecordRung classifies an outcome, and arg1 of
+// the serving.rung flight event.
 constexpr int64_t kFlightOutcomeAnswer = 0;
 constexpr int64_t kFlightOutcomeMiss = 1;
 constexpr int64_t kFlightOutcomeError = 2;
@@ -116,20 +117,46 @@ void RewriteService::InitInstruments(MetricsRegistry* metrics) {
   obs_->breaker_state->Set(0.0);  // kClosed.
 }
 
-void RewriteService::RecordRungOutcome(Source rung, const Status& status,
-                                       bool skipped, double latency_millis) {
+void RewriteService::RecordRung(Source rung, Skip skip, const Status& status,
+                                double latency_millis, TraceSpan& span,
+                                Response* response) {
+  const bool skipped = skip != Skip::kNone;
+  int64_t outcome;
+  if (skipped) {
+    outcome = kFlightOutcomeSkipped;
+    span.SetDetail(skip == Skip::kNoBudget      ? "skipped(no budget)"
+                   : skip == Skip::kBreakerOpen ? "skipped(breaker open)"
+                   : rung == Source::kDirectModel ? "skipped(no model)"
+                                                  : "skipped(no rules)");
+  } else if (status.ok()) {
+    outcome = kFlightOutcomeAnswer;
+    span.SetDetail("hit");
+  } else if (status.code() == StatusCode::kNotFound) {
+    outcome = kFlightOutcomeMiss;
+    span.SetDetail("miss");
+  } else {
+    outcome = kFlightOutcomeError;
+    span.SetStatus(status);
+  }
+  // Ended here so the trace is complete before the request is sampled.
+  span.End();
+
+  response->attempts.push_back({rung, status, skipped});
+  const bool failure =
+      outcome == kFlightOutcomeError ||
+      (outcome == kFlightOutcomeSkipped && skip != Skip::kNoBackend);
+  if (failure && response->degraded_status.ok()) {
+    response->degraded_status = status;
+  }
+
   // Always-on flight event, even with metrics disabled: the recorder is
   // the transient-failure journal, and a rung outcome is exactly the kind
   // of breadcrumb a post-mortem needs. args = (rung index, outcome code).
   static const int32_t kRungEvent =
       FlightRecorder::Global().InternName("serving.rung");
-  const int64_t outcome = skipped ? kFlightOutcomeSkipped
-                          : status.ok() ? kFlightOutcomeAnswer
-                          : status.code() == StatusCode::kNotFound
-                              ? kFlightOutcomeMiss
-                              : kFlightOutcomeError;
   FlightRecorder::Global().Record(FlightCategory::kServing, kRungEvent,
                                   static_cast<int64_t>(rung), outcome);
+
   if (obs_ == nullptr) return;
   RungInstruments& in = obs_->rungs[static_cast<size_t>(rung)];
   if (skipped) {
@@ -143,9 +170,9 @@ void RewriteService::RecordRungOutcome(Source rung, const Status& status,
   if (SampleObservation(seq, kExactObservationWindow, kLatencySampleStride)) {
     in.latency->Observe(latency_millis);
   }
-  if (status.ok()) {
+  if (outcome == kFlightOutcomeAnswer) {
     in.answers->Increment();
-  } else if (status.code() == StatusCode::kNotFound) {
+  } else if (outcome == kFlightOutcomeMiss) {
     in.misses->Increment();
   } else {
     in.errors->Increment();
@@ -199,9 +226,10 @@ RewriteService::Response RewriteService::Serve(
     return watch.ElapsedMillis() +
            (deadline.charged_millis() - charged_at_entry);
   };
-  const auto note_failure = [&](const Status& status) {
-    if (response.degraded_status.ok()) response.degraded_status = status;
-  };
+  // Fills the response from the answering rung and books the whole
+  // request. The request counter doubles as the sampling sequence for the
+  // request-level histograms; every counter stays exact.
+  int64_t request_seq = 0;
   const auto answer = [&](Source source,
                           std::vector<std::vector<std::string>> rewrites) {
     response.source = source;
@@ -210,14 +238,12 @@ RewriteService::Response RewriteService::Serve(
         options_.max_rewrites) {
       response.rewrites.resize(options_.max_rewrites);
     }
-    response.attempts.push_back({source, Status::OK(), /*skipped=*/false});
+    // The cache and the direct model give full-quality answers, degraded
+    // only when an upstream rung failed (e.g. a cache outage).
+    response.degraded = source == Source::kRuleBased ||
+                        source == Source::kPassthrough ||
+                        !response.degraded_status.ok();
     response.latency_millis = elapsed();
-  };
-  // Books the whole request once the answering rung is known. The request
-  // counter doubles as the sampling sequence for the request-level
-  // histograms; every counter stays exact.
-  int64_t request_seq = 0;
-  const auto finish = [&] {
     // Flight event per finished request: (answering rung, latency in
     // microseconds). Always on — this is what makes the tail of a
     // post-mortem journal identify the in-flight request mix.
@@ -251,7 +277,7 @@ RewriteService::Response RewriteService::Serve(
     }
     // Exemplar coverage: requests the caller did not trace get a
     // service-created trace exactly when their latency will be observed,
-    // so every exemplar written by finish() resolves in the sampler.
+    // so every exemplar written by answer() resolves in the sampler.
     if (trace == nullptr && options_.trace_sampler != nullptr &&
         SampleObservation(request_seq, kExactObservationWindow,
                           kLatencySampleStride)) {
@@ -268,56 +294,32 @@ RewriteService::Response RewriteService::Serve(
     const double rung_start = elapsed();
     RewriteKvStore::Rewrites cached;
     const Status status = cache_->Lookup(key, deadline, &cached);
-    RecordRungOutcome(Source::kCache, status, /*skipped=*/false,
-                      elapsed() - rung_start);
+    RecordRung(Source::kCache, Skip::kNone, status, elapsed() - rung_start,
+               span, &response);
     if (status.ok()) {
-      span.SetDetail("hit");
       answer(Source::kCache, std::move(cached));
-      cache_latency_.Record(response.latency_millis);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
       return response;
     }
-    if (status.code() == StatusCode::kNotFound) {
-      span.SetDetail("miss");
-    } else {
-      span.SetStatus(status);
-      note_failure(status);
-    }
-    response.attempts.push_back({Source::kCache, status, /*skipped=*/false});
   }
 
   // Rung 2: fast direct q2q model — deadline- and breaker-gated.
   if (model_ == nullptr) {
-    const Status status =
-        Status::FailedPrecondition("no direct model configured");
     TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(no model)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
+    RecordRung(Source::kDirectModel, Skip::kNoBackend,
+               Status::FailedPrecondition("no direct model configured"), 0.0,
+               span, &response);
   } else if (!deadline.HasBudget(options_.model_min_budget_millis)) {
-    const Status status = Status::FailedPrecondition(
-        "deadline budget exhausted before model rung");
     TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(no budget)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    note_failure(status);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
+    RecordRung(Source::kDirectModel, Skip::kNoBudget,
+               Status::FailedPrecondition(
+                   "deadline budget exhausted before model rung"),
+               0.0, span, &response);
   } else if (!breaker_.AllowRequest()) {
     NoteBreakerState(trace);
-    const Status status =
-        Status::FailedPrecondition("direct-model circuit breaker open");
     TraceSpan span(trace, "rung:direct-model");
-    span.SetDetail("skipped(breaker open)");
-    RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/true, 0.0);
-    note_failure(status);
-    response.attempts.push_back(
-        {Source::kDirectModel, status, /*skipped=*/true});
+    RecordRung(Source::kDirectModel, Skip::kBreakerOpen,
+               Status::FailedPrecondition("direct-model circuit breaker open"),
+               0.0, span, &response);
   } else {
     NoteBreakerState(trace);
     TraceSpan span(trace, "rung:direct-model");
@@ -336,65 +338,30 @@ RewriteService::Response RewriteService::Serve(
     } else if (status.ok() && !rewrites.empty() && !ValidRewrites(rewrites)) {
       status = Status::Internal("direct model returned invalid output");
     }
-    if (status.ok() && !rewrites.empty()) {
-      breaker_.RecordSuccess();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_calls_.fetch_add(1, std::memory_order_relaxed);
-      span.SetDetail("hit");
-      answer(Source::kDirectModel, std::move(rewrites));
-      const double model_millis = elapsed() - model_start;
-      model_latency_.Record(model_millis);
-      RecordRungOutcome(Source::kDirectModel, Status::OK(),
-                        /*skipped=*/false, model_millis);
-      // Degraded only if an upstream rung failed (e.g. cache outage).
-      response.degraded = !response.degraded_status.ok();
-      if (response.degraded) {
-        // ordering: relaxed — observability counter/snapshot; no other memory
-        // is published or consumed through it.
-        degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-      }
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
-      return response;
-    }
     if (status.ok()) {
-      // Healthy model, nothing to say: a miss, not a failure.
       breaker_.RecordSuccess();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_calls_.fetch_add(1, std::memory_order_relaxed);
-      const Status miss = Status::NotFound("model produced no rewrites");
-      span.SetDetail("miss");
-      RecordRungOutcome(Source::kDirectModel, miss, /*skipped=*/false,
-                        elapsed() - model_start);
-      response.attempts.push_back(
-          {Source::kDirectModel, miss, /*skipped=*/false});
     } else {
       breaker_.RecordFailure();
-      NoteBreakerState(trace);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      model_failures_.fetch_add(1, std::memory_order_relaxed);
-      span.SetStatus(status);
-      RecordRungOutcome(Source::kDirectModel, status, /*skipped=*/false,
-                        elapsed() - model_start);
-      note_failure(status);
-      response.attempts.push_back(
-          {Source::kDirectModel, status, /*skipped=*/false});
+    }
+    NoteBreakerState(trace);
+    // A healthy model with nothing to say is a miss, not a failure.
+    if (status.ok() && rewrites.empty()) {
+      status = Status::NotFound("model produced no rewrites");
+    }
+    RecordRung(Source::kDirectModel, Skip::kNone, status,
+               elapsed() - model_start, span, &response);
+    if (status.ok()) {
+      answer(Source::kDirectModel, std::move(rewrites));
+      return response;
     }
   }
 
   // Rung 3: rule-based synonym baseline.
   if (rule_based_ == nullptr) {
-    const Status status =
-        Status::FailedPrecondition("no rule-based rewriter configured");
     TraceSpan span(trace, "rung:rule-based");
-    span.SetDetail("skipped(no rules)");
-    RecordRungOutcome(Source::kRuleBased, status, /*skipped=*/true, 0.0);
-    response.attempts.push_back({Source::kRuleBased, status, /*skipped=*/true});
+    RecordRung(Source::kRuleBased, Skip::kNoBackend,
+               Status::FailedPrecondition("no rule-based rewriter configured"),
+               0.0, span, &response);
   } else {
     TraceSpan span(trace, "rung:rule-based");
     const double rung_start = elapsed();
@@ -403,45 +370,23 @@ RewriteService::Response RewriteService::Serve(
     // NOLINTNEXTLINE(cyqr-deadline-propagation): see above.
     std::vector<std::vector<std::string>> rewrites = rule_based_->Rewrite(
         query_tokens, options_.max_rewrites);
-    if (!rewrites.empty()) {
-      span.SetDetail("hit");
-      RecordRungOutcome(Source::kRuleBased, Status::OK(), /*skipped=*/false,
-                        elapsed() - rung_start);
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      rule_based_answers_.fetch_add(1, std::memory_order_relaxed);
+    if (rewrites.empty()) {
+      RecordRung(Source::kRuleBased, Skip::kNone,
+                 Status::NotFound("no synonym phrase matched"),
+                 elapsed() - rung_start, span, &response);
+    } else {
+      RecordRung(Source::kRuleBased, Skip::kNone, Status::OK(),
+                 elapsed() - rung_start, span, &response);
       answer(Source::kRuleBased, std::move(rewrites));
-      response.degraded = true;
-      // ordering: relaxed — observability counter/snapshot; no other memory is
-      // published or consumed through it.
-      degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-      span.End();  // Close the span before finish() samples the trace.
-      finish();
       return response;
     }
-    const Status miss = Status::NotFound("no synonym phrase matched");
-    span.SetDetail("miss");
-    RecordRungOutcome(Source::kRuleBased, miss, /*skipped=*/false,
-                      elapsed() - rung_start);
-    response.attempts.push_back({Source::kRuleBased, miss, /*skipped=*/false});
   }
 
   // Rung 4: identity passthrough — cannot fail, always answers.
-  {
-    TraceSpan span(trace, "rung:passthrough");
-    span.SetDetail("hit");
-    RecordRungOutcome(Source::kPassthrough, Status::OK(), /*skipped=*/false,
-                      0.0);
-  }
-  // ordering: relaxed — observability counter/snapshot; no other memory is
-  // published or consumed through it.
-  passthrough_answers_.fetch_add(1, std::memory_order_relaxed);
+  TraceSpan span(trace, "rung:passthrough");
+  RecordRung(Source::kPassthrough, Skip::kNone, Status::OK(), 0.0, span,
+             &response);
   answer(Source::kPassthrough, {query_tokens});
-  response.degraded = true;
-  // ordering: relaxed — observability counter/snapshot; no other memory is
-  // published or consumed through it.
-  degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-  finish();
   return response;
 }
 

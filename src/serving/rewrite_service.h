@@ -16,7 +16,6 @@
 #include "serving/backends.h"
 #include "serving/circuit_breaker.h"
 #include "serving/kv_store.h"
-#include "serving/latency.h"
 
 namespace cyqr {
 
@@ -34,12 +33,16 @@ namespace cyqr {
 /// answers. The Response records which rung answered, every rung attempt
 /// with its Status, and whether the request was degraded.
 ///
+/// Every rung outcome is booked once, by RecordRung, into the Response,
+/// the request's trace, the flight recorder and the metrics registry; the
+/// registry is the only place serving counts and latencies live.
+///
 /// Serve() is safe to call from N threads over one shared instance: the
-/// breaker, fault injectors, KV snapshot reads, metrics instruments, and
-/// the service's own tally counters are all atomic or immutable. The one
-/// caveat is the ModelBackend — the in-process DirectModelBackend decode
-/// is read-only over frozen parameters and therefore safe, but a stateful
-/// backend must provide its own synchronization.
+/// breaker, fault injectors, KV snapshot reads and metrics instruments are
+/// all atomic or immutable. The one caveat is the ModelBackend — the
+/// in-process DirectModelBackend decode is read-only over frozen
+/// parameters and therefore safe, but a stateful backend must provide its
+/// own synchronization.
 class RewriteService {
  public:
   struct Options {
@@ -127,38 +130,6 @@ class RewriteService {
                              const RewriteOptions& rewrite_options,
                              RewriteKvStore* store);
 
-  const LatencyRecorder& cache_latency() const { return cache_latency_; }
-  const LatencyRecorder& model_latency() const { return model_latency_; }
-  int64_t cache_hits() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t model_calls() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return model_calls_.load(std::memory_order_relaxed);
-  }
-  int64_t model_failures() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return model_failures_.load(std::memory_order_relaxed);
-  }
-  int64_t rule_based_answers() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return rule_based_answers_.load(std::memory_order_relaxed);
-  }
-  int64_t passthrough_answers() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return passthrough_answers_.load(std::memory_order_relaxed);
-  }
-  int64_t degraded_requests() const {
-    // ordering: relaxed — stat snapshot for reporting; a stale value is
-    // acceptable.
-    return degraded_requests_.load(std::memory_order_relaxed);
-  }
   const CircuitBreaker& breaker() const { return breaker_; }
 
  private:
@@ -190,10 +161,18 @@ class RewriteService {
 
   void InitInstruments(MetricsRegistry* metrics);
 
-  /// Books one rung outcome into counters + latency histogram. OK means
-  /// the rung answered; NotFound is a clean miss; anything else an error.
-  void RecordRungOutcome(Source rung, const Status& status, bool skipped,
-                         double latency_millis);
+  /// Why a rung did not run (kNone: it ran). A rung without a backend is
+  /// configuration, not a failure; the other skips degrade the request.
+  enum class Skip { kNone, kNoBackend, kNoBudget, kBreakerOpen };
+
+  /// Books one rung outcome into every sink: the response's attempt list
+  /// and degraded_status, the rung's trace span (which it ends), the
+  /// flight recorder, and, when metrics are on, the rung counters and the
+  /// sampled rung latency histogram. For a rung that ran, OK means it
+  /// answered, NotFound is a clean miss and anything else an error.
+  void RecordRung(Source rung, Skip skip, const Status& status,
+                  double latency_millis, TraceSpan& span,
+                  Response* response);
 
   /// Detects breaker state transitions (after AllowRequest/Record*) and
   /// books them into the transition counters, state gauge, and trace.
@@ -209,16 +188,6 @@ class RewriteService {
   const RuleBasedRewriter* rule_based_;
   Options options_;
   CircuitBreaker breaker_;
-  LatencyRecorder cache_latency_;   // Histogram-backed: concurrency-safe.
-  LatencyRecorder model_latency_;
-  // Tally counters are relaxed atomics: they are statistics, not
-  // synchronization, and relaxed fetch_add never loses an increment.
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> model_calls_{0};
-  std::atomic<int64_t> model_failures_{0};
-  std::atomic<int64_t> rule_based_answers_{0};
-  std::atomic<int64_t> passthrough_answers_{0};
-  std::atomic<int64_t> degraded_requests_{0};
   std::unique_ptr<Instruments> obs_;  // Null when metrics are disabled.
   std::atomic<CircuitBreaker::State> last_breaker_state_{
       CircuitBreaker::State::kClosed};

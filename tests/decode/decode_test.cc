@@ -323,5 +323,99 @@ TEST_F(DecodeTest, MidDecodeExpiryReturnsTruncatedHypotheses) {
   EXPECT_EQ(GreedyDecode(*model_, {4, 5}, bounded).ids, reference.ids);
 }
 
+/// Model whose next-token logits are a fixed function of the decoded
+/// prefix, so a test can predict every beam step exactly. From the empty
+/// prefix token 4 is likelier than token 5; after one token, <eos> is far
+/// likelier than any continuation.
+class ScriptedModel : public Seq2SeqModel {
+ public:
+  struct State : DecodeState {
+    std::vector<int32_t> prefix;
+    std::unique_ptr<DecodeState> Clone() const override {
+      return std::make_unique<State>(*this);
+    }
+  };
+
+  Tensor Forward(const EncodedBatch&, const EncodedBatch&) const override {
+    return Tensor();
+  }
+  std::unique_ptr<DecodeState> StartDecode(
+      const std::vector<int32_t>&) const override {
+    return std::make_unique<State>();
+  }
+  std::vector<float> Step(DecodeState& state, int32_t token) const override {
+    auto& prefix = static_cast<State&>(state).prefix;
+    if (token != kBosId) prefix.push_back(token);
+    return Logits(prefix);
+  }
+  int64_t vocab_size() const override { return 8; }
+  std::string name() const override { return "scripted"; }
+
+  static std::vector<float> Logits(const std::vector<int32_t>& prefix) {
+    std::vector<float> logits(8, -10.0f);
+    if (prefix.empty()) {
+      logits[4] = 3.0f;
+      logits[5] = 2.5f;
+    } else {
+      logits[kEosId] = 5.0f;
+      logits[6] = 0.0f;
+    }
+    return logits;
+  }
+
+  /// Teacher-forced log-probability of `ids` followed by <eos>.
+  static double FinishedScore(const std::vector<int32_t>& ids) {
+    double total = 0.0;
+    std::vector<int32_t> prefix;
+    for (size_t t = 0; t <= ids.size(); ++t) {
+      const std::vector<float> lp =
+          decode_internal::StepLogProbs(Logits(prefix), /*allow_eos=*/t > 0);
+      const int32_t next = t < ids.size() ? ids[t] : kEosId;
+      total += lp[next];
+      prefix.push_back(next);
+    }
+    return total;
+  }
+};
+
+TEST(BeamEarlyStopTest, ReturnsNoPrefixThatOutscoresItsFinishedHypothesis) {
+  // Step 1 finishes "4 <eos>" and "5 <eos>", and both live continuations
+  // score below them, so the search stops early. Regression: the stop used
+  // to append the previous step's beam ("4" and "5", without <eos>) as
+  // unfinished hypotheses; "4" then outranked "4 <eos>", and the decoder
+  // served the prefix.
+  ScriptedModel model;
+  DecodeOptions options;
+  options.beam_size = 2;
+  options.max_len = 5;
+  const std::vector<DecodedSequence> out =
+      BeamSearchDecode(model, {4}, options);
+  ASSERT_EQ(out.size(), 2u);
+
+  std::vector<bool> finished(out.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    finished[i] = std::abs(out[i].log_prob -
+                           ScriptedModel::FinishedScore(out[i].ids)) < 1e-6;
+  }
+  for (size_t f = 0; f < out.size(); ++f) {
+    if (!finished[f]) continue;
+    for (size_t q = 0; q < out.size(); ++q) {
+      if (q == f || finished[q]) continue;
+      const bool prefix =
+          out[q].ids.size() <= out[f].ids.size() &&
+          std::equal(out[q].ids.begin(), out[q].ids.end(),
+                     out[f].ids.begin());
+      EXPECT_FALSE(prefix && out[q].log_prob > out[f].log_prob)
+          << "unfinished prefix of length " << out[q].ids.size()
+          << " outscores a finished hypothesis";
+    }
+  }
+  // Both answers end in <eos>: each scores its <eos>-terminated sequence.
+  EXPECT_EQ(out[0].ids, (std::vector<int32_t>{4}));
+  EXPECT_EQ(out[1].ids, (std::vector<int32_t>{5}));
+  EXPECT_TRUE(finished[0]);
+  EXPECT_TRUE(finished[1]);
+}
+
 }  // namespace
 }  // namespace cyqr

@@ -92,21 +92,6 @@ TEST(HistogramTest, EmptyHistogramIsZero) {
   EXPECT_DOUBLE_EQ(h.QuantileEstimate(0.5), 0.0);
 }
 
-TEST(HistogramTest, MergeFromAddsEverything) {
-  Histogram a({1.0, 2.0});
-  Histogram b({1.0, 2.0});
-  a.Observe(0.5);
-  b.Observe(1.5);
-  b.Observe(9.0);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.Count(), 3);
-  EXPECT_EQ(a.BucketCount(0), 1);
-  EXPECT_EQ(a.BucketCount(1), 1);
-  EXPECT_EQ(a.BucketCount(2), 1);
-  EXPECT_DOUBLE_EQ(a.Sum(), 11.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 9.0);
-}
-
 TEST(MetricNameTest, AcceptsConventionalNames) {
   EXPECT_TRUE(IsValidMetricName("cyqr_serving_requests_total"));
   EXPECT_TRUE(IsValidMetricName("cyqr_serving_rung_latency_millis"));
@@ -252,19 +237,6 @@ TEST(HistogramExemplarTest, LastWriterWinsPerBucketAndZeroIdIsIgnored) {
   EXPECT_EQ(h.ExemplarTraceId(2), 0u);  // Overflow bucket untouched.
 }
 
-TEST(HistogramExemplarTest, MergeFromTakesOtherExemplarsWhereSet) {
-  Histogram a({1.0, 10.0});
-  Histogram b({1.0, 10.0});
-  a.Observe(0.5, /*exemplar_id=*/0x111);
-  a.Observe(5.0, /*exemplar_id=*/0x222);
-  b.Observe(5.5, /*exemplar_id=*/0x333);  // Only bucket 1 set in b.
-  a.MergeFrom(b);
-  // Bucket 0: b had none, a keeps its own. Bucket 1: b's wins.
-  EXPECT_EQ(a.ExemplarTraceId(0), 0x111u);
-  EXPECT_EQ(a.ExemplarTraceId(1), 0x333u);
-  EXPECT_DOUBLE_EQ(a.ExemplarValue(1), 5.5);
-}
-
 TEST(HistogramExemplarTest, ExpositionCarriesTraceIdAnnotation) {
   MetricsRegistry registry;
   Histogram* h =
@@ -278,52 +250,6 @@ TEST(HistogramExemplarTest, ExpositionCarriesTraceIdAnnotation) {
                 "# {trace_id=\"000000000000001f\"} 0.5"),
       std::string::npos)
       << text;
-}
-
-// Satellite property test for Histogram::MergeFrom: two histograms
-// populated concurrently from a deterministic stream, split arbitrarily
-// between them, must merge into exactly the histogram that saw the whole
-// stream single-threaded — buckets, count, sum, and max all equal.
-TEST(MetricsConcurrencyTest, MergeOfConcurrentlyPopulatedHalvesIsExact) {
-  const std::vector<double> bounds = {1.0, 2.0, 4.0, 8.0};
-  Histogram left(bounds);
-  Histogram right(bounds);
-  Histogram reference(bounds);
-
-  // Deterministic value stream: values spread across every bucket
-  // (including overflow) with an integer-friendly pattern so the sums
-  // compare exactly even in floating point.
-  constexpr int kThreadsPerSide = 4;
-  constexpr int kValuesPerThread = 25000;
-  const auto value_at = [](int thread, int i) {
-    return static_cast<double>((thread * 31 + i) % 40) * 0.25;
-  };
-  for (int t = 0; t < 2 * kThreadsPerSide; ++t) {
-    for (int i = 0; i < kValuesPerThread; ++i) {
-      reference.Observe(value_at(t, i));
-    }
-  }
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2 * kThreadsPerSide; ++t) {
-    Histogram* target = t < kThreadsPerSide ? &left : &right;
-    threads.emplace_back([target, t, &value_at] {
-      for (int i = 0; i < kValuesPerThread; ++i) {
-        target->Observe(value_at(t, i));
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  left.MergeFrom(right);
-  ASSERT_EQ(left.Count(), reference.Count());
-  for (size_t i = 0; i <= bounds.size(); ++i) {
-    EXPECT_EQ(left.BucketCount(i), reference.BucketCount(i))
-        << "bucket " << i;
-  }
-  EXPECT_DOUBLE_EQ(left.Sum(), reference.Sum());
-  EXPECT_DOUBLE_EQ(left.Max(), reference.Max());
-  EXPECT_DOUBLE_EQ(left.Mean(), reference.Mean());
 }
 
 }  // namespace

@@ -312,24 +312,6 @@ TEST(ConcurrentFaultDrillTest, AccountingStaysExactThroughOutageAndFlapping) {
   }
   EXPECT_EQ(metric_rung_sum, served.load() + server.retries_total());
 
-  // The service's own tally counters agree exactly with the metric series
-  // (both count per-Serve answers, retries included).
-  EXPECT_EQ(service.cache_hits(),
-            metrics
-                .GetCounter("cyqr_serving_rung_answers_total",
-                            {{"rung", "cache"}})
-                ->Value());
-  EXPECT_EQ(service.rule_based_answers(),
-            metrics
-                .GetCounter("cyqr_serving_rung_answers_total",
-                            {{"rung", "rule-based"}})
-                ->Value());
-  EXPECT_EQ(service.passthrough_answers(),
-            metrics
-                .GetCounter("cyqr_serving_rung_answers_total",
-                            {{"rung", "passthrough"}})
-                ->Value());
-
   // The drill exercised what it claims: the outage window fired in full,
   // and the breaker actually cycled under contention.
   EXPECT_EQ(faults.cache.injector().injected_errors(),

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rewrite/trainer.h"
 #include "serving/fault_injection.h"
 #include "serving/rewrite_service.h"
@@ -10,6 +15,18 @@ namespace cyqr {
 namespace {
 
 using Source = RewriteService::Source;
+
+/// Reads one per-rung counter the service books into `metrics`.
+int64_t RungCount(MetricsRegistry& metrics, const char* series,
+                  const char* rung) {
+  return metrics.GetCounter(series, {{"rung", rung}})->Value();
+}
+
+Histogram* RungLatency(MetricsRegistry& metrics, const char* rung) {
+  return metrics.GetHistogram("cyqr_serving_rung_latency_millis",
+                              Histogram::DefaultLatencyBoundsMillis(),
+                              {{"rung", rung}});
+}
 
 TEST(KvStoreTest, PutGetRoundTrip) {
   RewriteKvStore store;
@@ -50,16 +67,6 @@ TEST(KvStoreTest, SaveLoadRoundTrip) {
 TEST(KvStoreTest, LoadMissingFileFails) {
   RewriteKvStore store;
   EXPECT_FALSE(store.Load("/nonexistent/path.tsv").ok());
-}
-
-TEST(LatencyRecorderTest, Percentiles) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) recorder.Record(static_cast<double>(i));
-  EXPECT_EQ(recorder.count(), 100);
-  EXPECT_NEAR(recorder.MeanMillis(), 50.5, 1e-9);
-  EXPECT_NEAR(recorder.PercentileMillis(0.5), 50.0, 1.5);
-  EXPECT_NEAR(recorder.PercentileMillis(0.99), 99.0, 1.5);
-  EXPECT_DOUBLE_EQ(recorder.MaxMillis(), 100.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -118,10 +125,11 @@ class LadderTest : public ::testing::Test {
   std::unique_ptr<RuleBasedRewriter> rules_;
   std::unique_ptr<KvStoreBackend> cache_;
   FakeModelBackend model_;
+  MetricsRegistry metrics_;
 };
 
 TEST_F(LadderTest, CacheHitIsNotDegraded) {
-  RewriteService service(cache_.get(), &model_, rules_.get(), {});
+  RewriteService service(cache_.get(), &model_, rules_.get(), {}, &metrics_);
   const auto response = service.Serve({"senior", "phone"});
   EXPECT_EQ(response.source, Source::kCache);
   EXPECT_FALSE(response.degraded);
@@ -129,7 +137,7 @@ TEST_F(LadderTest, CacheHitIsNotDegraded) {
   ASSERT_EQ(response.rewrites.size(), 1u);
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"elderly", "phone"}));
-  EXPECT_EQ(service.cache_hits(), 1);
+  EXPECT_EQ(RungCount(metrics_, "cyqr_serving_rung_answers_total", "cache"), 1);
   EXPECT_EQ(model_.calls, 0);
 }
 
@@ -149,7 +157,7 @@ TEST_F(LadderTest, CacheMissFallsToModelNotDegraded) {
 
 TEST_F(LadderTest, ModelFailureFallsToRuleBased) {
   model_.status = Status::Internal("model wedged");
-  RewriteService service(cache_.get(), &model_, rules_.get(), {});
+  RewriteService service(cache_.get(), &model_, rules_.get(), {}, &metrics_);
   const auto response = service.Serve({"cheap", "phone"});
   EXPECT_EQ(response.source, Source::kRuleBased);
   EXPECT_TRUE(response.degraded);
@@ -157,8 +165,12 @@ TEST_F(LadderTest, ModelFailureFallsToRuleBased) {
   ASSERT_EQ(response.rewrites.size(), 1u);
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"budget", "phone"}));
-  EXPECT_EQ(service.model_failures(), 1);
-  EXPECT_EQ(service.rule_based_answers(), 1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_errors_total", "direct-model"),
+      1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_answers_total", "rule-based"),
+      1);
 }
 
 TEST_F(LadderTest, ModelFailureNoSynonymFallsToPassthrough) {
@@ -181,9 +193,9 @@ TEST_F(LadderTest, ModelFailureNoSynonymFallsToPassthrough) {
 }
 
 TEST_F(LadderTest, NullModelReportsPassthroughNotModel) {
-  // Regression: a cache-only service used to report kDirectModel, bump
-  // model_calls_, and record a phantom latency sample on every miss.
-  RewriteService service(cache_.get(), nullptr, nullptr, {});
+  // Regression: a cache-only service used to report kDirectModel, count
+  // a model call, and record a phantom latency sample on every miss.
+  RewriteService service(cache_.get(), nullptr, nullptr, {}, &metrics_);
   const auto response = service.Serve({"unknown", "query"});
   EXPECT_EQ(response.source, Source::kPassthrough);
   EXPECT_TRUE(response.degraded);
@@ -191,8 +203,13 @@ TEST_F(LadderTest, NullModelReportsPassthroughNotModel) {
   ASSERT_EQ(response.rewrites.size(), 1u);
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"unknown", "query"}));
-  EXPECT_EQ(service.model_calls(), 0);
-  EXPECT_EQ(service.model_latency().count(), 0);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_attempts_total", "direct-model"),
+      0);
+  EXPECT_EQ(RungLatency(metrics_, "direct-model")->Count(), 0);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_skipped_total", "direct-model"),
+      1);
   // The model rung is visible as skipped, not as a phantom call.
   bool saw_skipped_model = false;
   for (const auto& attempt : response.attempts) {
@@ -218,7 +235,8 @@ TEST_F(LadderTest, ExhaustedDeadlineSkipsModel) {
 TEST_F(LadderTest, SlowModelCountsAsFailureAndTripsBreaker) {
   RewriteService::Options options = SmallBreakerOptions();
   model_.charge_millis = 500.0;  // Each decode blows the 100 ms budget.
-  RewriteService service(cache_.get(), &model_, rules_.get(), options);
+  RewriteService service(cache_.get(), &model_, rules_.get(), options,
+                         &metrics_);
 
   for (int i = 0; i < 2; ++i) {
     const auto response =
@@ -226,7 +244,9 @@ TEST_F(LadderTest, SlowModelCountsAsFailureAndTripsBreaker) {
     EXPECT_EQ(response.source, Source::kPassthrough);
     EXPECT_TRUE(response.degraded);
   }
-  EXPECT_EQ(service.model_failures(), 2);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_errors_total", "direct-model"),
+      2);
   EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kOpen);
 }
 
@@ -235,12 +255,14 @@ TEST_F(LadderTest, CorruptModelOutputIsRejected) {
   RewriteCandidate garbage;
   garbage.tokens = {"ok", "", "tokens"};  // Empty token: invalid output.
   model_.result.push_back(garbage);
-  RewriteService service(cache_.get(), &model_, rules_.get(), {});
+  RewriteService service(cache_.get(), &model_, rules_.get(), {}, &metrics_);
   const auto response = service.Serve({"cheap", "phone"});
   EXPECT_EQ(response.source, Source::kRuleBased);
   EXPECT_TRUE(response.degraded);
   EXPECT_EQ(response.degraded_status.code(), StatusCode::kInternal);
-  EXPECT_EQ(service.model_failures(), 1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_errors_total", "direct-model"),
+      1);
 }
 
 TEST_F(LadderTest, CacheOutageServedByModelIsDegraded) {
@@ -249,14 +271,15 @@ TEST_F(LadderTest, CacheOutageServedByModelIsDegraded) {
   outage.error_code = StatusCode::kIoError;
   outage.error_message = "kv cluster down";
   FaultyKvBackend faulty_cache(cache_.get(), outage, /*seed=*/7);
-  RewriteService service(&faulty_cache, &model_, rules_.get(), {});
+  RewriteService service(&faulty_cache, &model_, rules_.get(), {},
+                         &metrics_);
 
   // Even a head query (cached!) is served by the model during the outage.
   const auto response = service.Serve({"senior", "phone"});
   EXPECT_EQ(response.source, Source::kDirectModel);
   EXPECT_TRUE(response.degraded);
   EXPECT_EQ(response.degraded_status.code(), StatusCode::kIoError);
-  EXPECT_EQ(service.cache_hits(), 0);
+  EXPECT_EQ(RungCount(metrics_, "cyqr_serving_rung_answers_total", "cache"), 0);
 }
 
 TEST_F(LadderTest, CacheLatencySpikeEatsModelBudget) {
@@ -308,7 +331,7 @@ TEST_F(LadderTest, FlappingModelDrivesBreakerThroughFullCycle) {
   wedged.error_message = "model wedged";
   FaultyModelBackend faulty_model(&model_, wedged, /*seed=*/9);
   RewriteService service(cache_.get(), &faulty_model, rules_.get(),
-                         SmallBreakerOptions());
+                         SmallBreakerOptions(), &metrics_);
   const std::vector<std::string> query = {"gaming", "mouse"};
 
   // Requests 1-2: model fails twice -> breaker opens (threshold 2).
@@ -379,19 +402,186 @@ TEST_F(LadderTest, FlappingModelDrivesBreakerThroughFullCycle) {
     EXPECT_FALSE(response.degraded);
   }
   // Every single request during the outage was answered.
-  EXPECT_EQ(service.degraded_requests(), 7);
+  EXPECT_EQ(metrics_.GetCounter("cyqr_serving_degraded_total")->Value(), 7);
 }
 
 TEST_F(LadderTest, InjectedCorruptOutputRejectedByValidation) {
   FaultSpec corrupting;
   corrupting.corrupt_probability = 1.0;
   FaultyModelBackend faulty_model(&model_, corrupting, /*seed=*/10);
-  RewriteService service(cache_.get(), &faulty_model, rules_.get(), {});
+  RewriteService service(cache_.get(), &faulty_model, rules_.get(), {},
+                         &metrics_);
   const auto response = service.Serve({"cheap", "phone"});
   EXPECT_NE(response.source, Source::kDirectModel);
   EXPECT_TRUE(response.degraded);
   EXPECT_EQ(response.degraded_status.code(), StatusCode::kInternal);
-  EXPECT_EQ(service.model_failures(), 1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_errors_total", "direct-model"),
+      1);
+}
+
+// Every rung outcome is booked into four sinks: Response::attempts, the
+// per-rung metric series, the request's trace spans and the flight
+// recorder. Each sink is decoded here into the same "rung:outcome" form,
+// and for every request all four must match the expected ladder walk.
+const char* const kRungLabels[4] = {"cache", "direct-model", "rule-based",
+                                    "passthrough"};
+const char* const kOutcomes[4] = {"answers", "misses", "errors", "skipped"};
+// The counter booking each outcome, indexed like kOutcomes (which is also
+// the serving.rung flight event's outcome code).
+const char* const kOutcomeSeries[4] = {
+    "cyqr_serving_rung_answers_total", "cyqr_serving_rung_misses_total",
+    "cyqr_serving_rung_errors_total", "cyqr_serving_rung_skipped_total"};
+
+std::string Step(int rung, int outcome) {
+  return std::string(kRungLabels[rung]) + ":" + kOutcomes[outcome];
+}
+
+std::vector<std::string> FromAttempts(
+    const std::vector<RewriteService::RungAttempt>& attempts) {
+  std::vector<std::string> out;
+  for (const auto& a : attempts) {
+    const int outcome = a.skipped                                  ? 3
+                        : a.status.ok()                            ? 0
+                        : a.status.code() == StatusCode::kNotFound ? 1
+                                                                   : 2;
+    out.push_back(Step(static_cast<int>(a.rung), outcome));
+  }
+  return out;
+}
+
+std::vector<std::string> FromTrace(const Trace& trace) {
+  std::vector<std::string> out;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.name.rfind("rung:", 0) != 0) continue;  // Breaker annotations.
+    const std::string rung = e.name.substr(5);
+    const char* outcome = !e.ok                               ? "errors"
+                          : e.detail == "hit"                 ? "answers"
+                          : e.detail == "miss"                ? "misses"
+                          : e.detail.rfind("skipped(", 0) == 0 ? "skipped"
+                                                               : "unknown";
+    out.push_back(rung + ":" + outcome);
+  }
+  return out;
+}
+
+/// Every per-rung counter and rung-latency count, in a fixed order.
+std::vector<int64_t> ReadRungSeries(MetricsRegistry& metrics) {
+  std::vector<int64_t> values;
+  for (const char* rung : kRungLabels) {
+    for (const char* series : kOutcomeSeries) {
+      values.push_back(RungCount(metrics, series, rung));
+    }
+    values.push_back(
+        RungCount(metrics, "cyqr_serving_rung_attempts_total", rung));
+    values.push_back(RungLatency(metrics, rung)->Count());
+  }
+  return values;
+}
+
+/// Decodes the counter deltas of one request. The ladder tries rungs in
+/// enum order, so ordering the booked outcomes by rung gives the walk. A
+/// rung that ran must also have one attempt and one latency sample (all
+/// series here are inside the exact, unsampled window).
+std::vector<std::string> FromSeriesDelta(const std::vector<int64_t>& before,
+                                         const std::vector<int64_t>& after) {
+  std::vector<std::string> out;
+  constexpr size_t kPerRung = 6;  // Four outcomes, attempts, latency count.
+  for (int rung = 0; rung < 4; ++rung) {
+    const size_t base = rung * kPerRung;
+    int64_t ran = 0;
+    for (int outcome = 0; outcome < 4; ++outcome) {
+      const int64_t delta = after[base + outcome] - before[base + outcome];
+      for (int64_t i = 0; i < delta; ++i) out.push_back(Step(rung, outcome));
+      if (outcome < 3) ran += delta;
+    }
+    EXPECT_EQ(after[base + 4] - before[base + 4], ran)
+        << kRungLabels[rung] << " attempts";
+    EXPECT_EQ(after[base + 5] - before[base + 5], ran)
+        << kRungLabels[rung] << " latency samples";
+  }
+  return out;
+}
+
+/// Splits this thread's serving.rung events into requests: each request
+/// ends with exactly one serving.request event.
+std::vector<std::vector<std::string>> FlightRequests() {
+  std::vector<std::vector<std::string>> requests(1);
+  int32_t thread_index = -1;
+  const std::vector<FlightEvent> journal =
+      FlightRecorder::Global().Snapshot();
+  // This test records from one thread only; its last serving event names
+  // that thread.
+  for (const FlightEvent& e : journal) {
+    if (e.category == FlightCategory::kServing) thread_index = e.thread_index;
+  }
+  for (const FlightEvent& e : journal) {
+    if (e.thread_index != thread_index) continue;
+    const std::string name = e.name;
+    if (name == "serving.rung") {
+      requests.back().push_back(Step(static_cast<int>(e.arg0),
+                                     static_cast<int>(e.arg1)));
+    } else if (name == "serving.request") {
+      requests.emplace_back();
+    }
+  }
+  requests.pop_back();  // Events after the last request (none expected).
+  return requests;
+}
+
+TEST_F(LadderTest, EveryRungOutcomeIsBookedAlikeInAllFourSinks) {
+  RewriteService with_model(cache_.get(), &model_, rules_.get(),
+                            SmallBreakerOptions(), &metrics_);
+  RewriteService cache_only(cache_.get(), nullptr, nullptr, {}, &metrics_);
+
+  struct Case {
+    const char* what;
+    RewriteService* service;
+    std::vector<std::string> query;
+    Status model_status;
+    std::vector<std::string> expected;
+  };
+  const Status wedged = Status::Internal("model wedged");
+  const std::vector<Case> cases = {
+      {"cache hit", &with_model, {"senior", "phone"}, Status::OK(),
+       {"cache:answers"}},
+      {"cache miss, model hit", &with_model, {"gaming", "mouse"},
+       Status::OK(), {"cache:misses", "direct-model:answers"}},
+      {"model error, rule hit", &with_model, {"cheap", "phone"}, wedged,
+       {"cache:misses", "direct-model:errors", "rule-based:answers"}},
+      // The second model failure opens the breaker (threshold 2).
+      {"model error, rule miss, passthrough", &with_model,
+       {"gaming", "mouse"}, wedged,
+       {"cache:misses", "direct-model:errors", "rule-based:misses",
+        "passthrough:answers"}},
+      {"breaker-open skip, rule hit", &with_model, {"cheap", "phone"},
+       wedged,
+       {"cache:misses", "direct-model:skipped", "rule-based:answers"}},
+      {"no-model skip, no-rules skip, passthrough", &cache_only,
+       {"gaming", "mouse"}, Status::OK(),
+       {"cache:misses", "direct-model:skipped", "rule-based:skipped",
+        "passthrough:answers"}},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    model_.status = c.model_status;
+    const std::vector<int64_t> before = ReadRungSeries(metrics_);
+    Trace trace;
+    const auto response =
+        c.service->Serve(c.query, Deadline::Infinite(), &trace);
+    EXPECT_EQ(FromAttempts(response.attempts), c.expected);
+    EXPECT_EQ(FromSeriesDelta(before, ReadRungSeries(metrics_)), c.expected);
+    EXPECT_EQ(FromTrace(trace), c.expected) << trace.PathString();
+  }
+  EXPECT_EQ(with_model.breaker().state(), CircuitBreaker::State::kOpen);
+
+  const std::vector<std::vector<std::string>> flight = FlightRequests();
+  ASSERT_GE(flight.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].what);
+    EXPECT_EQ(flight[flight.size() - cases.size() + i], cases[i].expected);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -428,38 +618,47 @@ class ServiceTest : public ::testing::Test {
   Vocabulary vocab_;
   RewriteKvStore store_;
   std::unique_ptr<DirectRewriter> fallback_;
+  MetricsRegistry metrics_;
 };
 
 TEST_F(ServiceTest, CacheHitServesFromStore) {
-  RewriteService service(&store_, fallback_.get(), {});
+  RewriteService service(&store_, fallback_.get(), {}, nullptr, &metrics_);
   const auto response = service.Serve({"senior", "phone"});
   EXPECT_EQ(response.source, Source::kCache);
   EXPECT_FALSE(response.degraded);
   ASSERT_EQ(response.rewrites.size(), 1u);
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"elderly", "phone"}));
-  EXPECT_EQ(service.cache_hits(), 1);
-  EXPECT_EQ(service.model_calls(), 0);
+  EXPECT_EQ(RungCount(metrics_, "cyqr_serving_rung_answers_total", "cache"), 1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_attempts_total", "direct-model"),
+      0);
 }
 
 TEST_F(ServiceTest, CacheMissFallsBackToModel) {
-  RewriteService service(&store_, fallback_.get(), {});
+  RewriteService service(&store_, fallback_.get(), {}, nullptr, &metrics_);
   const auto response = service.Serve({"cheap", "phone"});
   EXPECT_EQ(response.source, Source::kDirectModel);
-  EXPECT_EQ(service.model_calls(), 1);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_answers_total", "direct-model"),
+      1);
   ASSERT_FALSE(response.rewrites.empty());
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"budget", "phone"}));
 }
 
 TEST_F(ServiceTest, CacheIsFasterThanModel) {
-  RewriteService service(&store_, fallback_.get(), {});
+  RewriteService service(&store_, fallback_.get(), {}, nullptr, &metrics_);
   for (int i = 0; i < 20; ++i) {
     service.Serve({"senior", "phone"});
     service.Serve({"cheap", "phone"});
   }
-  EXPECT_LT(service.cache_latency().MeanMillis(),
-            service.model_latency().MeanMillis());
+  // Both series stay inside the exact (unsampled) window, so the means
+  // cover every call.
+  ASSERT_EQ(RungLatency(metrics_, "cache")->Count(), 40);
+  ASSERT_EQ(RungLatency(metrics_, "direct-model")->Count(), 20);
+  EXPECT_LT(RungLatency(metrics_, "cache")->Mean(),
+            RungLatency(metrics_, "direct-model")->Mean());
 }
 
 TEST_F(ServiceTest, MaxRewritesCapApplies) {
@@ -508,14 +707,16 @@ TEST_F(ServiceTest, DirectModelBackendReportsDeadlineExpiry) {
 }
 
 TEST_F(ServiceTest, NullFallbackServesIdentityPassthrough) {
-  RewriteService service(&store_, nullptr, {});
+  RewriteService service(&store_, nullptr, {}, nullptr, &metrics_);
   const auto response = service.Serve({"unknown", "query"});
   EXPECT_EQ(response.source, Source::kPassthrough);
   EXPECT_TRUE(response.degraded);
   ASSERT_EQ(response.rewrites.size(), 1u);
   EXPECT_EQ(response.rewrites[0],
             (std::vector<std::string>{"unknown", "query"}));
-  EXPECT_EQ(service.model_calls(), 0);
+  EXPECT_EQ(
+      RungCount(metrics_, "cyqr_serving_rung_attempts_total", "direct-model"),
+      0);
 }
 
 }  // namespace
