@@ -7,6 +7,12 @@
 // Shape to reproduce: the transformer ENCODER is competitive (one parallel
 // pass over the tokens) while the transformer DECODER is the bottleneck
 // (self-attention over all generated tokens at every step).
+//
+// The library's transformer Step keeps a K/V cache and runs the decoder on
+// the new token alone (BM_DecoderTransformer). The paper's cost profile,
+// the decoder re-run over the whole prefix at every step, is timed by
+// BM_DecoderTransformerPrefixRerun through the teacher-forced Forward;
+// each of its calls also runs the encoder once.
 
 #include <benchmark/benchmark.h>
 
@@ -155,6 +161,29 @@ void BM_DecoderTransformer(benchmark::State& state) {
   RunBeamDecode(model, state);
 }
 BENCHMARK(BM_DecoderTransformer)->Unit(benchmark::kMillisecond);
+
+void BM_DecoderTransformerPrefixRerun(benchmark::State& state) {
+  Rng rng(6);
+  TransformerSeq2Seq model(TableVConfig(), rng);
+  model.SetTraining(false);
+  NoGradGuard no_grad;
+  const EncodedBatch src = PadBatch({SourceTokens()});
+  for (auto _ : state) {
+    // The work of RunBeamDecode's kBeam hypotheses over kDecodeSteps
+    // steps, each step re-running Forward over the whole prefix so far.
+    std::vector<int32_t> prefix;
+    int32_t token = kBosId;
+    for (int64_t step = 0; step < kDecodeSteps; ++step) {
+      prefix.push_back(token);
+      const EncodedBatch tgt_in = PadBatch({prefix});
+      for (int64_t b = 0; b < kBeam; ++b) {
+        benchmark::DoNotOptimize(model.Forward(src, tgt_in).data());
+      }
+      token = static_cast<int32_t>(kNumSpecialTokens + (step % (kVocab / 2)));
+    }
+  }
+}
+BENCHMARK(BM_DecoderTransformerPrefixRerun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -8,16 +8,22 @@ namespace cyqr {
 
 namespace {
 
-/// Incremental decoding re-runs the decoder over the whole generated prefix
-/// each step (no KV cache). This mirrors the cost profile the paper reports
-/// in Table V: the transformer decoder performs self-attention over all
-/// target tokens at every step, which is why it is the serving bottleneck.
+/// Incremental decoding state: per decoder layer, the self-attention keys
+/// and values of every token fed so far plus the cross-attention keys and
+/// values of the encoder memory, so each Step runs the decoder on the new
+/// row alone. Step's logits are bit-identical to the last row of Forward
+/// over the same prefix (see MultiHeadAttention). Re-running the decoder
+/// over the whole prefix instead, the paper's cost profile in Table V,
+/// makes a step cost grow with the prefix. bench_table5_latency times both:
+/// about 6 ms cached against 65 ms re-run for a beam-3, 15-step decode
+/// (EXPERIMENTS.md).
 class TransformerDecodeState : public DecodeState {
  public:
-  Tensor memory;               // [1, Ts, D]
-  std::vector<float> src_mask; // [Ts]
-  std::vector<int32_t> prefix; // Tokens fed so far (starts with BOS).
+  std::vector<TransformerDecoderLayer::Cache> layers;
+  int64_t length = 0;  // Tokens fed so far (the first is BOS).
 
+  /// Copies the self-attention rows (std::vector), so branches never see
+  /// each other's tokens. The cross keys/values are shared: never written.
   std::unique_ptr<DecodeState> Clone() const override {
     return std::make_unique<TransformerDecodeState>(*this);
   }
@@ -69,11 +75,46 @@ Tensor TransformerDecoderLayer::Forward(
     const Tensor& x, const Tensor& memory,
     const std::vector<float>& causal_mask,
     const std::vector<float>& memory_mask) const {
-  Tensor h = norm1_.Forward(x);
-  Tensor y = Add(x, dropout_.Forward(self_attn_.Forward(h, h, causal_mask)));
+  const Tensor h = norm1_.Forward(x);
+  return Sublayers(x, h, self_attn_.ProjectKeyValues(h), causal_mask,
+                   cross_attn_.ProjectKeyValues(memory), memory_mask);
+}
+
+TransformerDecoderLayer::Cache TransformerDecoderLayer::StartCache(
+    const Tensor& memory) const {
+  Cache cache;
+  cache.cross = cross_attn_.ProjectKeyValues(memory);
+  return cache;
+}
+
+Tensor TransformerDecoderLayer::Step(const Tensor& x, Cache& cache) const {
+  CYQR_CHECK_EQ(x.NumElements(), x.shape().back());
+  const Tensor h = norm1_.Forward(x);
+  const MultiHeadAttention::KeyValues row = self_attn_.ProjectKeyValues(h);
+  const int64_t d = x.shape().back();
+  cache.self_keys.insert(cache.self_keys.end(), row.keys.data(),
+                         row.keys.data() + d);
+  cache.self_values.insert(cache.self_values.end(), row.values.data(),
+                           row.values.data() + d);
+  const Shape shape{1, static_cast<int64_t>(cache.self_keys.size()) / d, d};
+  // The newest row sees every cached row, so the causal mask of Forward's
+  // last row is all zeros; leaving it out changes no bit of the softmax.
+  return Sublayers(x, h,
+                   {Tensor::FromData(shape, cache.self_keys),
+                    Tensor::FromData(shape, cache.self_values)},
+                   {}, cache.cross, {});
+}
+
+Tensor TransformerDecoderLayer::Sublayers(
+    const Tensor& x, const Tensor& h,
+    const MultiHeadAttention::KeyValues& self_kv,
+    const std::vector<float>& self_mask,
+    const MultiHeadAttention::KeyValues& cross_kv,
+    const std::vector<float>& cross_mask) const {
+  Tensor y = Add(x, dropout_.Forward(self_attn_.Attend(h, self_kv, self_mask)));
   Tensor h2 = norm2_.Forward(y);
   Tensor z =
-      Add(y, dropout_.Forward(cross_attn_.Forward(h2, memory, memory_mask)));
+      Add(y, dropout_.Forward(cross_attn_.Attend(h2, cross_kv, cross_mask)));
   Tensor h3 = norm3_.Forward(z);
   return Add(z, dropout_.Forward(ff_.Forward(h3)));
 }
@@ -124,15 +165,23 @@ TransformerSeq2Seq::TransformerSeq2Seq(const Seq2SeqConfig& config, Rng& rng)
   RegisterModule(&output_proj_);
 }
 
+Tensor TransformerSeq2Seq::EmbedTarget(const std::vector<int32_t>& ids,
+                                       int64_t batch, int64_t len,
+                                       int64_t offset) const {
+  const float scale = std::sqrt(static_cast<float>(config_.d_model));
+  Tensor x = Scale(tgt_embedding_.Forward(ids, batch, len), scale);
+  return dropout_.Forward(AddPositionalEncoding(x, offset));
+}
+
+Tensor TransformerSeq2Seq::Logits(const Tensor& x) const {
+  return output_proj_.Forward(final_norm_.Forward(x));
+}
+
 Tensor TransformerSeq2Seq::Decode(const Tensor& memory,
                                   const std::vector<float>& src_mask,
                                   const EncodedBatch& tgt_in) const {
   const int64_t ts = memory.shape().dim(1);
-  const float scale = std::sqrt(static_cast<float>(config_.d_model));
-  Tensor x = Scale(
-      tgt_embedding_.Forward(tgt_in.ids, tgt_in.batch, tgt_in.max_len),
-      scale);
-  x = dropout_.Forward(AddPositionalEncoding(x));
+  Tensor x = EmbedTarget(tgt_in.ids, tgt_in.batch, tgt_in.max_len, 0);
   const std::vector<float> causal = MakeCausalMask(
       tgt_in.batch, config_.num_heads, tgt_in.max_len, tgt_in.mask);
   const std::vector<float> mem_mask = MakePaddingMask(
@@ -140,7 +189,7 @@ Tensor TransformerSeq2Seq::Decode(const Tensor& memory,
   for (const auto& layer : decoder_layers_) {
     x = layer->Forward(x, memory, causal, mem_mask);
   }
-  return output_proj_.Forward(final_norm_.Forward(x));
+  return Logits(x);
 }
 
 Tensor TransformerSeq2Seq::Forward(const EncodedBatch& src,
@@ -154,9 +203,12 @@ std::unique_ptr<DecodeState> TransformerSeq2Seq::StartDecode(
     const std::vector<int32_t>& src_ids) const {
   NoGradGuard no_grad;
   auto state = std::make_unique<TransformerDecodeState>();
-  const EncodedBatch src = PadBatch({src_ids});
-  state->memory = encoder_.Forward(src);
-  state->src_mask = src.mask;
+  // One unpadded source, so the memory mask of Forward is all zeros and
+  // Step leaves it out.
+  const Tensor memory = encoder_.Forward(PadBatch({src_ids}));
+  for (const auto& layer : decoder_layers_) {
+    state->layers.push_back(layer->StartCache(memory));
+  }
   return state;
 }
 
@@ -164,16 +216,14 @@ std::vector<float> TransformerSeq2Seq::Step(DecodeState& state,
                                             int32_t token) const {
   NoGradGuard no_grad;
   auto& s = static_cast<TransformerDecodeState&>(state);
-  s.prefix.push_back(token);
-  EncodedBatch tgt_in;
-  tgt_in.batch = 1;
-  tgt_in.max_len = static_cast<int64_t>(s.prefix.size());
-  tgt_in.ids = s.prefix;
-  tgt_in.mask.assign(s.prefix.size(), 1.0f);
-  Tensor logits = Decode(s.memory, s.src_mask, tgt_in);
-  const int64_t v = config_.vocab_size;
-  const float* last = logits.data() + (tgt_in.max_len - 1) * v;
-  return std::vector<float>(last, last + v);
+  Tensor x = EmbedTarget({token}, 1, 1, s.length);
+  for (size_t i = 0; i < decoder_layers_.size(); ++i) {
+    x = decoder_layers_[i]->Step(x, s.layers[i]);
+  }
+  ++s.length;
+  const Tensor logits = Logits(x);
+  return std::vector<float>(logits.data(),
+                            logits.data() + logits.NumElements());
 }
 
 void TransformerSeq2Seq::SetCaptureAttention(bool capture) {

@@ -31,16 +31,41 @@ class TransformerEncoderLayer : public Module {
 /// cross-attention over the encoder memory, feed-forward.
 class TransformerDecoderLayer : public Module {
  public:
+  /// What incremental decoding keeps per layer: the self-attention keys
+  /// and values of the tokens fed so far, and the cross-attention keys and
+  /// values of the encoder memory.
+  struct Cache {
+    std::vector<float> self_keys;    // [t, D], one row per token fed.
+    std::vector<float> self_values;  // [t, D]
+    MultiHeadAttention::KeyValues cross;  // [1, Ts, D]; never written.
+  };
+
   TransformerDecoderLayer(const Seq2SeqConfig& config, Rng& rng);
 
   Tensor Forward(const Tensor& x, const Tensor& memory,
                  const std::vector<float>& causal_mask,
                  const std::vector<float>& memory_mask) const;
 
+  /// Projects the cross-attention keys and values of `memory` ([1, Ts, D]).
+  Cache StartCache(const Tensor& memory) const;
+
+  /// Forward for the newest position alone: x is its [1, 1, D] input row.
+  /// Appends the row's self-attention key and value to `cache` and attends
+  /// over all cached rows; equals the last row of Forward over the prefix.
+  Tensor Step(const Tensor& x, Cache& cache) const;
+
   MultiHeadAttention& cross_attention() { return cross_attn_; }
   const MultiHeadAttention& cross_attention() const { return cross_attn_; }
 
  private:
+  /// Everything after the first norm: self-attention of `h` (= norm1(x))
+  /// over `self_kv`, cross-attention over `cross_kv`, feed-forward.
+  Tensor Sublayers(const Tensor& x, const Tensor& h,
+                   const MultiHeadAttention::KeyValues& self_kv,
+                   const std::vector<float>& self_mask,
+                   const MultiHeadAttention::KeyValues& cross_kv,
+                   const std::vector<float>& cross_mask) const;
+
   MultiHeadAttention self_attn_;
   MultiHeadAttention cross_attn_;
   FeedForward ff_;
@@ -86,8 +111,10 @@ class TransformerSeq2Seq : public Seq2SeqModel {
   std::string name() const override { return "transformer"; }
 
   /// Enables attention capture on the last decoder layer's cross-attention
-  /// (Figure 6 heat maps). After a Step/Forward, LastCrossAttention()
-  /// returns the head-averaged [T_tgt, T_src] weights of batch element 0.
+  /// (Figure 6 heat maps). LastCrossAttention() returns the head-averaged
+  /// weights of batch element 0, row-major [rows, T_src]: after a Forward
+  /// the full [T_tgt, T_src] matrix, after a Step the single row of the
+  /// token that Step fed.
   void SetCaptureAttention(bool capture);
   const std::vector<float>& LastCrossAttention() const;
   int64_t LastAttentionRows() const;
@@ -98,6 +125,12 @@ class TransformerSeq2Seq : public Seq2SeqModel {
  private:
   Tensor Decode(const Tensor& memory, const std::vector<float>& src_mask,
                 const EncodedBatch& tgt_in) const;
+  /// Scaled embedding plus positional encoding of target ids ([B, T]),
+  /// positions starting at `offset`.
+  Tensor EmbedTarget(const std::vector<int32_t>& ids, int64_t batch,
+                     int64_t len, int64_t offset) const;
+  /// Final norm and output projection: decoder states -> logits.
+  Tensor Logits(const Tensor& x) const;
 
   Seq2SeqConfig config_;
   TransformerEncoder encoder_;

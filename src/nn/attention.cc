@@ -25,15 +25,26 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t num_heads,
 Tensor MultiHeadAttention::Forward(const Tensor& query,
                                    const Tensor& keys_values,
                                    const std::vector<float>& mask) const {
-  CYQR_CHECK_EQ(query.shape().rank(), 3);
+  return Attend(query, ProjectKeyValues(keys_values), mask);
+}
+
+MultiHeadAttention::KeyValues MultiHeadAttention::ProjectKeyValues(
+    const Tensor& keys_values) const {
   CYQR_CHECK_EQ(keys_values.shape().rank(), 3);
+  return {wk_.Forward(keys_values), wv_.Forward(keys_values)};
+}
+
+Tensor MultiHeadAttention::Attend(const Tensor& query, const KeyValues& kv,
+                                  const std::vector<float>& mask) const {
+  CYQR_CHECK_EQ(query.shape().rank(), 3);
+  CYQR_CHECK_EQ(kv.keys.shape().rank(), 3);
   const int64_t b = query.shape().dim(0);
   const int64_t tq = query.shape().dim(1);
-  const int64_t tk = keys_values.shape().dim(1);
+  const int64_t tk = kv.keys.shape().dim(1);
 
-  Tensor q = SplitHeads(wq_.Forward(query), num_heads_);        // [B*H,Tq,dh]
-  Tensor k = SplitHeads(wk_.Forward(keys_values), num_heads_);  // [B*H,Tk,dh]
-  Tensor v = SplitHeads(wv_.Forward(keys_values), num_heads_);  // [B*H,Tk,dh]
+  Tensor q = SplitHeads(wq_.Forward(query), num_heads_);  // [B*H,Tq,dh]
+  Tensor k = SplitHeads(kv.keys, num_heads_);             // [B*H,Tk,dh]
+  Tensor v = SplitHeads(kv.values, num_heads_);           // [B*H,Tk,dh]
 
   Tensor scores = MatMul(q, k, /*trans_a=*/false, /*trans_b=*/true);
   scores = Scale(scores, 1.0f / std::sqrt(static_cast<float>(head_dim_)));

@@ -1,5 +1,7 @@
 #include "rewrite/cycle_model.h"
 
+#include <utility>
+
 #include "core/check.h"
 #include "nmt/attention_seq2seq.h"
 #include "nmt/transformer.h"
@@ -28,6 +30,16 @@ CycleModel::CycleModel(const CycleConfig& config, Rng& rng)
       rng_(&rng),
       forward_(MakeModel(config.arch, config.forward, rng)),
       backward_(MakeModel(config.arch, config.backward, rng)) {}
+
+CycleModel::CycleModel(const CycleConfig& config, Rng& rng,
+                       std::unique_ptr<Seq2SeqModel> forward,
+                       std::unique_ptr<Seq2SeqModel> backward)
+    : config_(config),
+      rng_(&rng),
+      forward_(std::move(forward)),
+      backward_(std::move(backward)) {
+  CYQR_CHECK(forward_ != nullptr && backward_ != nullptr);
+}
 
 std::vector<Tensor> CycleModel::Parameters() const {
   std::vector<Tensor> params = forward_->Parameters();

@@ -18,6 +18,12 @@ class CycleModel {
   /// so it must outlive the model.
   CycleModel(const CycleConfig& config, Rng& rng);
 
+  /// Takes two already-built translation models, which `config` describes;
+  /// `rng` is kept as above.
+  CycleModel(const CycleConfig& config, Rng& rng,
+             std::unique_ptr<Seq2SeqModel> forward,
+             std::unique_ptr<Seq2SeqModel> backward);
+
   Seq2SeqModel& forward() { return *forward_; }
   const Seq2SeqModel& forward() const { return *forward_; }
   Seq2SeqModel& backward() { return *backward_; }

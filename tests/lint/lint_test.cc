@@ -47,6 +47,19 @@ TEST(LintTest, DiscardedStatusClean) {
       RunRule("discarded-status", "discarded_status_clean.cc").empty());
 }
 
+TEST(LintTest, DiscardedStatusTernaryViolations) {
+  // Both branches of each dropped conditional are reported.
+  const auto diags =
+      RunRule("discarded-status", "discarded_status_ternary_violation.cc");
+  EXPECT_EQ(Lines(diags), std::vector<int>({11, 11, 12, 12}));
+}
+
+TEST(LintTest, DiscardedStatusTernaryClean) {
+  EXPECT_TRUE(
+      RunRule("discarded-status", "discarded_status_ternary_clean.cc")
+          .empty());
+}
+
 TEST(LintTest, UncheckedStreamViolations) {
   const auto diags =
       RunRule("unchecked-stream", "unchecked_stream_violation.cc");
@@ -135,6 +148,18 @@ TEST(LintTest, MetricsNamingViolations) {
 TEST(LintTest, MetricsNamingClean) {
   EXPECT_TRUE(
       RunRule("metrics-naming", "metrics_naming_clean.cc").empty());
+}
+
+TEST(LintTest, MetricsNamingConcatViolations) {
+  // A literal with nothing appended, and a '+' that is not after it.
+  const auto diags =
+      RunRule("metrics-naming", "metrics_naming_concat_violation.cc");
+  EXPECT_EQ(Lines(diags), std::vector<int>({5, 6}));
+}
+
+TEST(LintTest, MetricsNamingConcatClean) {
+  EXPECT_TRUE(
+      RunRule("metrics-naming", "metrics_naming_concat_clean.cc").empty());
 }
 
 TEST(LintTest, FlightEventNamingViolations) {

@@ -25,7 +25,7 @@ class DiscardedStatusRule : public Rule {
       // looks like a chain — so explicitly skip when the close paren is
       // followed by anything other than ';' (e.g. '{' of a body).
       const size_t close = MatchForward(toks, i + 1, "(", ")");
-      if (close >= toks.size() || !IsPunct(toks, close + 1, ";")) continue;
+      if (close >= toks.size()) continue;
 
       // The call's result is discarded only when the full statement is
       // nothing but a qualifier chain ending in this call. The chain must
@@ -39,7 +39,18 @@ class DiscardedStatusRule : public Rule {
              toks[s - 2].kind == TokKind::kIdent) {
         s -= 2;
       }
-      if (!AtStatementBoundary(toks, s)) continue;
+      if (s >= 1 &&
+          (IsPunct(toks, s - 1, "?") || IsTernaryColon(toks, s - 1))) {
+        // A whole branch of `c ? F() : G()`: discarded only when the
+        // conditional itself is an expression statement.
+        if (!IsPunct(toks, close + 1, ":") && !IsPunct(toks, close + 1, ";")) {
+          continue;
+        }
+        if (!ConditionalIsStatement(toks, s - 1)) continue;
+      } else if (!IsPunct(toks, close + 1, ";") ||
+                 !AtStatementBoundary(toks, s)) {
+        continue;
+      }
 
       Diagnostic d;
       d.file = file.lex.path;
@@ -53,6 +64,76 @@ class DiscardedStatusRule : public Rule {
   }
 
  private:
+  /// True when the ':' at `c` belongs to a conditional expression: a '?'
+  /// precedes it in the same bracket group and statement. Labels, access
+  /// specifiers, range-for and initializer lists have none.
+  static bool IsTernaryColon(const std::vector<Token>& toks, size_t c) {
+    if (!IsPunct(toks, c, ":")) return false;
+    int depth = 0;
+    int colons = 0;
+    for (size_t j = c; j-- > 0;) {
+      const Token& t = toks[j];
+      if (t.kind != TokKind::kPunct) continue;
+      if (t.text == ")" || t.text == "]") {
+        ++depth;
+      } else if (t.text == "(" || t.text == "[") {
+        if (depth-- == 0) return false;
+      } else if (depth > 0) {
+        continue;
+      } else if (t.text == ";" || t.text == "{" || t.text == "}") {
+        return false;
+      } else if (t.text == ":") {
+        ++colons;
+      } else if (t.text == "?" && colons-- == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// True when the conditional expression holding the '?' or ':' at `q`
+  /// is a statement of its own, so its value (either branch) is dropped.
+  /// Any assignment, comma, return, enclosing bracket or braced
+  /// initializer before it means the value is used.
+  static bool ConditionalIsStatement(const std::vector<Token>& toks,
+                                     size_t q) {
+    int depth = 0;
+    for (size_t j = q; j-- > 0;) {
+      const Token& t = toks[j];
+      if (t.kind == TokKind::kIdent) {
+        if (depth == 0 && (t.text == "return" || t.text == "co_return" ||
+                           t.text == "throw" || t.text == "case")) {
+          return false;
+        }
+        continue;
+      }
+      if (t.kind != TokKind::kPunct) continue;
+      if (t.text == ")" || t.text == "]") {
+        ++depth;
+      } else if (t.text == "(" || t.text == "[") {
+        if (depth-- == 0) return false;
+      } else if (depth > 0) {
+        continue;
+      } else if (t.text == ";" || t.text == "}") {
+        return true;
+      } else if (t.text == "{") {
+        // A block opens here unless the brace is an initializer.
+        return !(j >= 1 && (IsPunct(toks, j - 1, "=") ||
+                            IsPunct(toks, j - 1, ",") ||
+                            (toks[j - 1].kind == TokKind::kIdent &&
+                             toks[j - 1].text != "else" &&
+                             toks[j - 1].text != "do")));
+      } else if (t.text == "," ||
+                 (t.text.back() == '=' && t.text != "==" && t.text != "!=" &&
+                  t.text != "<=" && t.text != ">=")) {
+        // Comma, assignment or compound assignment; the comparisons
+        // belong to the condition.
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// True when a statement can begin at token index `s`.
   static bool AtStatementBoundary(const std::vector<Token>& toks,
                                   size_t s) {

@@ -67,8 +67,9 @@ bool ValidFlightEventName(const std::string& name) {
 /// GetGauge / GetHistogram, when it is a string literal, must be a valid
 /// `cyqr_<layer>_<name>_<unit>` name — and the flight-recorder convention
 /// at InternName call sites, whose literal must be a `<layer>.<event>`
-/// dotted name. Names built at runtime are invisible to the lexer and are
-/// left to the registry's / recorder's own CYQR_CHECK.
+/// dotted name. Names built at runtime, including a literal concatenated
+/// with `+`, are invisible to the lexer and are left to the registry's /
+/// recorder's own CYQR_CHECK.
 class MetricsNamingRule : public Rule {
  public:
   const char* name() const override { return "metrics-naming"; }
@@ -93,6 +94,9 @@ class MetricsNamingRule : public Rule {
           toks[i + 2].kind != TokKind::kString) {
         continue;
       }
+      // `"cyqr_serving_rung_" + outcome + "_total"`: the literal is only
+      // a prefix of a name built at runtime.
+      if (IsPunct(toks, i + 3, "+")) continue;
       const std::string& literal = toks[i + 2].aux;
       if (is_metric ? ValidName(literal) : ValidFlightEventName(literal)) {
         continue;
